@@ -10,7 +10,9 @@
 #      (lockfree_test — their relaxed/acquire orderings must satisfy
 #      TSan, including the wide-payload value-slot path), the lock
 #      zoo's mutual-exclusion/FIFO/accounting properties under real
-#      contention (lock_zoo_test), executor
+#      contention (lock_zoo_test), the executor's handoff core and
+#      record reclamation (executor_test, executor_reclaim_test), its
+#      lost-wake-up hammer (executor_handoff_test), executor
 #      abort storms (executor_storm_test, with parallel workers),
 #      the submit-vs-shutdown race (executor_shutdown_race_test),
 #      the M-worker mode witnesses (executor_multicpu_test), the
@@ -57,7 +59,9 @@ cmake -B build-tsan -S . -DLFRT_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j "$JOBS" \
       --target exp_test determinism_test concurrent_build_test \
-               lockfree_test lock_zoo_test executor_storm_test \
+               lockfree_test lock_zoo_test executor_test \
+               executor_reclaim_test executor_handoff_test \
+               executor_storm_test \
                executor_shutdown_race_test executor_multicpu_test \
                shared_object_test exec_objects_test \
                sharded_object_test contention_controller_test \
@@ -65,7 +69,7 @@ cmake --build build-tsan -j "$JOBS" \
                analysis_mp_test cost_model_test report_json_test \
                placement_test ext_executor_validation
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R '^(ExpThreadPool|ExpParallelMap|ExpSweep|ExpThreads|Determinism|ConcurrentBuild|MsQueue|TreiberStack|SpscRing|NodePool|TaggedRef|Sweep/AbaHammerTest|ExecutorStorm|ExecutorShutdownRace|ExecutorMultiCpu|SharedObject|Zoo/SharedObjectAllCombos|ObjectRegistryTest|LockZoo/(Ticket|Anderson|Mcs)|LockedWrappers|ReaderWriterKinds/ExecObjects|ExecObjectsLockBased|ExecObjectsMixed|ShardedQueue|ShardedStack|EliminationArray|SharedObjectSharded|LiveController|LatencyHistogram|TimerWheel|Service|AnalysisMpBounds|AnalysisMpStrict|AnalysisMpSaturate|AnalysisMpCertify|AccessCostArithmetic|CostModelTable|CostModelFlatIdentity|CalibrationCache|ReportJson|ObjectSpecJson|Placement(Select|Sim|Controller|Analysis|Executor|Json)?)\.'
+      -R '^(ExpThreadPool|ExpParallelMap|ExpSweep|ExpThreads|Determinism|ConcurrentBuild|MsQueue|TreiberStack|SpscRing|NodePool|TaggedRef|Sweep/AbaHammerTest|Executor|ExecutorReclaim|Cpus/ExecutorHandoff|ExecutorStorm|ExecutorShutdownRace|ExecutorMultiCpu|SharedObject|Zoo/SharedObjectAllCombos|ObjectRegistryTest|LockZoo/(Ticket|Anderson|Mcs)|LockedWrappers|ReaderWriterKinds/ExecObjects|ExecObjectsLockBased|ExecObjectsMixed|ShardedQueue|ShardedStack|EliminationArray|SharedObjectSharded|LiveController|LatencyHistogram|TimerWheel|Service|AnalysisMpBounds|AnalysisMpStrict|AnalysisMpSaturate|AnalysisMpCertify|AccessCostArithmetic|CostModelTable|CostModelFlatIdentity|CalibrationCache|ReportJson|ObjectSpecJson|Placement(Select|Sim|Controller|Analysis|Executor|Json)?)\.'
 ./build-tsan/bench/ext_executor_validation --tiny --cpus=1 \
       --out build-tsan/BENCH_xval_smoke.json
 ./build-tsan/bench/ext_executor_validation --tiny --cpus=4 \

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -35,6 +34,16 @@ bool terminal(RtState s) {
   return s == RtState::kCompleted || s == RtState::kAborted;
 }
 
+// A job's control word (JobRec::ctl), the one thing its running body
+// reads without the mutex.  Mirrors `cpu >= 0` and `state == kAborting`;
+// written only under the executor mutex.
+constexpr std::uint32_t kOnCpu = 1;
+constexpr std::uint32_t kAbortBit = 2;
+
+// A worker's parking word (Worker::park).
+constexpr std::uint32_t kAwake = 0;
+constexpr std::uint32_t kParked = 1;
+
 void validate(const RtJob& job) {
   LFRT_CHECK_MSG(job.tuf != nullptr, "job needs a TUF");
   LFRT_CHECK_MSG(job.body != nullptr, "job needs a body");
@@ -56,6 +65,11 @@ struct Executor::Impl {
   struct Worker {
     std::thread th;
     JobRec* assigned = nullptr;  // under mu; non-null = has work
+    // kParked while the worker sleeps in park_until.  Set by the worker
+    // and cleared by its waker, both under mu, so "is it parked" is
+    // decided under mu; the futex wait/notify on the word itself carries
+    // the wake-up across the unlock.
+    std::atomic<std::uint32_t> park{kAwake};
   };
 
   const sched::Scheduler* scheduler;
@@ -64,21 +78,22 @@ struct Executor::Impl {
   Clock::time_point epoch = Clock::now();
 
   std::mutex mu;
-  std::condition_variable sched_cv;    // wakes the scheduling thread
-  std::condition_variable worker_cv;   // wakes parked/idle workers
+  std::condition_variable sched_cv;  // the scheduling thread's only
+  std::condition_variable drain_cv;  // drain() callers
 
   // Job records live in a stable-address slab and recycle through a
   // free list: steady-state admission touches no allocator, and the
   // slab's size is the run's peak backlog, not its job count.  `live`
-  // (a std::map for deterministic id-order view building) holds only
-  // admitted-but-not-terminal jobs.
+  // holds only admitted-but-not-terminal jobs, in id order (ids are
+  // issued increasing, so admit appends and lookups binary-search):
+  // view building is deterministic run to run.
   std::deque<JobRec> slab;
   std::vector<JobRec*> free_recs;
-  std::map<JobId, JobRec*> live;
+  std::vector<JobRec*> live;
   JobId next_id = 0;
 
-  // Worker pool.  Workers park on worker_cv between jobs; `idle` is a
-  // LIFO so recently-run (cache-warm) threads go first.
+  // Worker pool.  Workers park on their own parking word between jobs;
+  // `idle` is a LIFO so recently-run (cache-warm) threads go first.
   std::vector<std::unique_ptr<Worker>> workers;
   std::vector<Worker*> idle;
   bool workers_stop = false;
@@ -104,7 +119,7 @@ struct Executor::Impl {
 
   // Per-CPU occupancy: running_on[c] is the job dispatched to CPU c
   // (kNoJob = idle).  Invariant under mu: running_on[c] == id iff
-  // live.at(id)->cpu == c.
+  // live_at(id).cpu == c.
   std::vector<JobId> running_on;
   // Gauge of workers currently inside job bodies; feeds the report's
   // max_concurrency_observed high-water mark.
@@ -124,7 +139,8 @@ struct Executor::Impl {
     RtState state = RtState::kReady;
     int cpu = -1;            // CPU slot currently held, -1 = none
     bool counted = false;    // inside the executing_now gauge
-    bool bound = false;      // a pool worker owns this record
+    Worker* worker = nullptr;  // the pool worker bound to this record
+    std::atomic<std::uint32_t> ctl{0};  // kOnCpu | kAbortBit (publish)
     Time ran_for = 0;        // accumulated execution time estimate input
     Time last_dispatch = 0;  // when it last got a CPU
 
@@ -139,35 +155,23 @@ struct Executor::Impl {
       state = RtState::kReady;
       cpu = -1;
       counted = false;
-      bound = false;
+      worker = nullptr;
+      ctl.store(0, std::memory_order_relaxed);
       ran_for = 0;
       last_dispatch = 0;
       acct = Job{};
     }
 
     // --- JobContext ---
+    // Fast path: one acquire load while the job is still dispatched and
+    // not aborting.  The mutex is taken only to park or to throw.
     void checkpoint() override {
-      std::unique_lock<std::mutex> lock(owner->mu);
-      if (state == RtState::kAborting) throw JobAborted{};
-      if (cpu >= 0) return;  // still dispatched: keep going
-      // Preempted: leave the concurrency gauge and park.  The worker
-      // never migrates and its thread-local access sink stays
-      // installed, so structure events after resumption still credit
-      // this job.
-      state = RtState::kPreempted;
-      owner->leave_body(*this);
-      owner->sched_cv.notify_all();
-      owner->worker_cv.wait(lock, [&] {
-        return cpu >= 0 || state == RtState::kAborting;
-      });
-      if (state == RtState::kAborting) throw JobAborted{};
-      state = RtState::kRunning;
-      owner->enter_body(*this);
+      if (ctl.load(std::memory_order_acquire) == kOnCpu) return;
+      owner->checkpoint_slow(*this);
     }
 
     bool aborted() const override {
-      std::lock_guard<std::mutex> lock(owner->mu);
-      return state == RtState::kAborting;
+      return (ctl.load(std::memory_order_acquire) & kAbortBit) != 0;
     }
 
     JobId id() const override { return jid; }
@@ -203,6 +207,62 @@ struct Executor::Impl {
 
   // --- helpers; all require mu held ---
 
+  // Re-derive the job's control word after its `cpu` or `state` changed.
+  void publish(JobRec& r) {
+    r.ctl.store((r.cpu >= 0 ? kOnCpu : 0u) |
+                    (r.state == RtState::kAborting ? kAbortBit : 0u),
+                std::memory_order_release);
+  }
+
+  // Wake `w` if it is parked; a running worker re-checks its condition
+  // under mu before it parks, so it needs no wake.  Only this one
+  // thread is woken.
+  static void unpark(Worker& w) {
+    if (w.park.load(std::memory_order_relaxed) != kParked) return;
+    w.park.store(kAwake, std::memory_order_release);
+    w.park.notify_one();
+  }
+
+  // Park the calling worker `w` until `ready()` (evaluated under mu).
+  template <class Ready>
+  static void park_until(std::unique_lock<std::mutex>& lock, Worker& w,
+                         Ready ready) {
+    while (!ready()) {
+      w.park.store(kParked, std::memory_order_relaxed);
+      lock.unlock();
+      w.park.wait(kParked, std::memory_order_acquire);
+      lock.lock();
+    }
+  }
+
+  // True when some live job holds no CPU: only then can a CPU freed by
+  // a terminal job give the scheduling thread dispatch work.
+  bool job_waiting_for_cpu() const {
+    const auto on_cpu = static_cast<std::size_t>(
+        std::count_if(running_on.begin(), running_on.end(),
+                      [](JobId id) { return id != kNoJob; }));
+    return live.size() > on_cpu;
+  }
+
+  // Binary search of the id-ordered live set.
+  std::vector<JobRec*>::const_iterator live_pos(JobId id) const {
+    return std::lower_bound(
+        live.begin(), live.end(), id,
+        [](const JobRec* r, JobId key) { return r->jid < key; });
+  }
+
+  // nullptr once the job is terminal.
+  JobRec* find_live(JobId id) const {
+    const auto it = live_pos(id);
+    return it != live.end() && (*it)->jid == id ? *it : nullptr;
+  }
+
+  JobRec& live_at(JobId id) const {
+    JobRec* r = find_live(id);
+    LFRT_CHECK_MSG(r != nullptr, "job is not live");
+    return *r;
+  }
+
   void enter_body(JobRec& r) {
     r.counted = true;
     ++executing_now;
@@ -227,6 +287,7 @@ struct Executor::Impl {
     report.cpu_busy[c] += t - r.last_dispatch;
     running_on[c] = kNoJob;
     r.cpu = -1;
+    publish(r);
   }
 
   Worker* start_worker() {
@@ -238,7 +299,7 @@ struct Executor::Impl {
   }
 
   // Attach a free pool worker to the record (growing the pool when all
-  // workers are pinned by preempted jobs).  Caller notifies worker_cv.
+  // workers are pinned by preempted jobs).  Caller unparks r.worker.
   void bind_worker(JobRec& r) {
     Worker* w;
     if (!idle.empty()) {
@@ -248,7 +309,7 @@ struct Executor::Impl {
       w = start_worker();
     }
     w->assigned = &r;
-    r.bound = true;
+    r.worker = w;
   }
 
   JobRec* alloc_rec() {
@@ -280,7 +341,7 @@ struct Executor::Impl {
     r->acct.critical_abs = arrival + r->spec.tuf->critical_time();
     ++report.submitted;
     report.max_possible_utility += r->spec.tuf->utility(0);
-    live.emplace(id, r);
+    live.push_back(r);
     report.peak_live_records = std::max(
         report.peak_live_records, static_cast<std::int64_t>(live.size()));
     abort_wheel.schedule(r->acct.critical_abs, id);
@@ -312,10 +373,17 @@ struct Executor::Impl {
     report.total_blockings += r.acct.blockings;
     report.total_backoff_spins += r.acct.backoff_spins;
     if (cfg.retain_job_records) report.jobs.push_back(r.acct);
-    live.erase(r.jid);
+    live.erase(live_pos(r.jid));
     r.spec = RtJob{};  // drop closures now, not at reuse
     free_recs.push_back(&r);
-    sched_cv.notify_all();
+    if (live.empty() && lanes_empty()) drain_cv.notify_all();
+    // Under mu the scheduling thread is asleep exactly when sched_idle
+    // is set.  It has work from this only when the freed CPU can take a
+    // waiting job, or when shutdown waits for the last job; its abort
+    // deadline wait covers everything else.
+    if (sched_idle.load(std::memory_order_relaxed) &&
+        (job_waiting_for_cpu() || (stopping && live.empty())))
+      sched_cv.notify_one();
   }
 
   // Request an abort.  A job that never started and has no handler is
@@ -323,14 +391,35 @@ struct Executor::Impl {
   // gets a worker bound just to deliver the handler on its own thread
   // with the access sink installed, same as any interrupted body.
   void mark_aborting(JobRec& r, Time t) {
-    if (!r.bound && !r.spec.abort_handler) {
+    if (r.worker == nullptr && !r.spec.abort_handler) {
       finalize(r, /*completed=*/false, t);
       return;
     }
     r.state = RtState::kAborting;
     vacate_cpu(r, t);
-    if (!r.bound) bind_worker(r);
-    worker_cv.notify_all();  // parked workers observe and throw
+    publish(r);
+    if (r.worker == nullptr) bind_worker(r);
+    unpark(*r.worker);  // a parked body wakes and throws
+  }
+
+  // JobContext::checkpoint's slow path: the job is off its CPU or
+  // aborting.
+  void checkpoint_slow(JobRec& r) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (r.state == RtState::kAborting) throw JobAborted{};
+    if (r.cpu >= 0) return;  // re-dispatched meanwhile: keep going
+    // Preempted: leave the concurrency gauge and park.  The worker
+    // never migrates and its thread-local access sink stays installed,
+    // so structure events after resumption still credit this job.  The
+    // scheduling thread already gave the CPU away, so it is not woken.
+    r.state = RtState::kPreempted;
+    leave_body(r);
+    park_until(lock, *r.worker, [&] {
+      return r.cpu >= 0 || r.state == RtState::kAborting;
+    });
+    if (r.state == RtState::kAborting) throw JobAborted{};
+    r.state = RtState::kRunning;
+    enter_body(r);
   }
 
   JobId submit(RtJob job) {
@@ -341,7 +430,7 @@ struct Executor::Impl {
     // never be dispatched and the counted_jobs invariant would break.
     if (stopping) return kNoJob;
     const JobId id = admit(std::move(job), now());
-    sched_cv.notify_all();
+    sched_cv.notify_one();
     return id;
   }
 
@@ -354,7 +443,7 @@ struct Executor::Impl {
       const JobId id = admit(std::move(batch[i]), t);
       if (ids != nullptr) ids[i] = id;
     }
-    if (count > 0) sched_cv.notify_all();
+    if (count > 0) sched_cv.notify_one();
     return count;
   }
 
@@ -413,14 +502,16 @@ struct Executor::Impl {
         if (n < cfg.ingest_batch) break;
       }
     }
-    if (processed > 0) sched_cv.notify_all();  // a blocked drain() re-checks
+    // Everything drained was shed: a blocked drain() may be done.
+    if (processed > 0 && live.empty() && lanes_empty()) drain_cv.notify_all();
     return processed;
   }
 
   void worker_loop(Worker* w) {
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-      worker_cv.wait(lock, [&] { return w->assigned != nullptr || workers_stop; });
+      park_until(lock, *w,
+                 [&] { return w->assigned != nullptr || workers_stop; });
       if (w->assigned == nullptr) return;  // stop, nothing bound
       JobRec* r = w->assigned;
       w->assigned = nullptr;
@@ -435,7 +526,7 @@ struct Executor::Impl {
   // the job's access sink installed, finalize.  mu held on entry and
   // exit, released around the body.
   void run_job(std::unique_lock<std::mutex>& lock, JobRec* r) {
-    worker_cv.wait(lock, [&] {
+    park_until(lock, *r->worker, [&] {
       return r->cpu >= 0 || r->state == RtState::kAborting;
     });
     if (r->state != RtState::kAborting) {
@@ -454,10 +545,7 @@ struct Executor::Impl {
       runtime::ScopedAccessSink sink(&r->acct.retries, &r->acct.blockings,
                                      &r->acct.backoff_spins);
       try {
-        {
-          std::lock_guard<std::mutex> g(mu);
-          if (r->state == RtState::kAborting) throw JobAborted{};
-        }
+        if (r->aborted()) throw JobAborted{};
         r->spec.body(*r);
         completed = true;
       } catch (const JobAborted&) {
@@ -486,22 +574,21 @@ struct Executor::Impl {
       const Time t = now();
 
       // Fire due abort timers (the timer going off).  Entries whose job
-      // already reached a terminal state miss the live map: stale, skip.
+      // already reached a terminal state miss the live set: stale, skip.
       abort_wheel.advance(t, [&](Time, JobId id) {
-        const auto it = live.find(id);
-        if (it == live.end()) return;
-        JobRec& r = *it->second;
-        if (terminal(r.state) || r.state == RtState::kAborting) return;
-        mark_aborting(r, t);
+        JobRec* r = find_live(id);
+        if (r == nullptr) return;
+        if (terminal(r->state) || r->state == RtState::kAborting) return;
+        mark_aborting(*r, t);
       });
 
       // Build the scheduler view over pending jobs (live is id-ordered,
       // so ties break identically run to run).
       view.clear();
-      for (auto& [id, r] : live) {
+      for (JobRec* r : live) {
         if (r->state == RtState::kAborting) continue;
         sched::SchedJob sj;
-        sj.id = id;
+        sj.id = r->jid;
         sj.arrival = r->acct.arrival;
         sj.critical = r->acct.critical_abs;
         Time elapsed = r->ran_for;
@@ -522,32 +609,30 @@ struct Executor::Impl {
       // (sched/dispatch.hpp).  Under the global policy select_placed IS
       // select_steered, and with no conflict groups that IS select.
       const auto task_of = [&](JobId id) -> TaskId {
-        const auto it = live.find(id);
-        return it == live.end() ? TaskId{-1} : it->second->spec.task;
+        const JobRec* r = find_live(id);
+        return r == nullptr ? TaskId{-1} : r->spec.task;
       };
       const auto& targets = selector.select_placed(
           no_front, res, cpu_count, static_cast<std::size_t>(next_id),
           [&](JobId id) {
-            const auto it = live.find(id);
-            if (it == live.end()) return false;
-            return it->second->state != RtState::kAborting;
+            const JobRec* r = find_live(id);
+            return r != nullptr && r->state != RtState::kAborting;
           },
           task_of);
       const auto& next = selector.assign_placed(
           targets, cpu_count, task_of,
-          [&](JobId id) { return live.at(id)->cpu; });
+          [&](JobId id) { return live_at(id).cpu; });
 
-      bool changed = false;
       for (int c = 0; c < cpu_count; ++c) {
         const auto ci = static_cast<std::size_t>(c);
         const JobId prev = running_on[ci];
         const JobId target = next[ci];
         if (prev == target) continue;
-        changed = true;
         if (prev != kNoJob) {
           // Deschedule: account the stint (a preemption if the job is
-          // still unfinished).
-          JobRec& p = *live.at(prev);
+          // still unfinished).  Its body sees the cleared kOnCpu bit at
+          // its next checkpoint and parks; nobody is woken.
+          JobRec& p = live_at(prev);
           vacate_cpu(p, t);
           if (!terminal(p.state) && p.state != RtState::kAborting) {
             ++p.acct.preemptions;
@@ -555,16 +640,18 @@ struct Executor::Impl {
           }
         }
         if (target != kNoJob) {
-          JobRec& n = *live.at(target);
-          if (!n.bound) bind_worker(n);  // first dispatch: claim a worker
+          // Dispatch (first bind or resume): wake exactly its worker.
+          JobRec& n = live_at(target);
+          if (n.worker == nullptr) bind_worker(n);
           n.cpu = c;
           n.last_dispatch = t;
           running_on[ci] = target;
+          publish(n);
+          unpark(*n.worker);
           ++report.dispatches;
           ++report.cpu_jobs[ci];
         }
       }
-      if (changed) worker_cv.notify_all();
 
       // Sleep until the next abort deadline or any event.  The
       // idle-flag/fence handshake with IngestLane::offer (see
@@ -592,7 +679,7 @@ struct Executor::Impl {
   void set_task_conflict_groups(std::vector<std::int32_t> groups) {
     std::lock_guard<std::mutex> lock(mu);
     selector.set_conflict_groups(std::move(groups));
-    sched_cv.notify_all();  // re-dispatch under the new steering
+    sched_cv.notify_one();  // re-dispatch under the new steering
   }
 
   void set_placement(sched::Placement placement) {
@@ -600,12 +687,12 @@ struct Executor::Impl {
     auto opts = selector.options();
     opts.placement = std::move(placement);
     selector.set_options(std::move(opts));
-    sched_cv.notify_all();  // re-dispatch under the new affinities
+    sched_cv.notify_one();  // re-dispatch under the new affinities
   }
 
   void drain() {
     std::unique_lock<std::mutex> lock(mu);
-    sched_cv.wait(lock, [&] { return live.empty() && lanes_empty(); });
+    drain_cv.wait(lock, [&] { return live.empty() && lanes_empty(); });
   }
 
   ExecutorReport shutdown() {
@@ -615,14 +702,14 @@ struct Executor::Impl {
       // job population and the counted_jobs invariant holds.
       std::lock_guard<std::mutex> lock(mu);
       stopping = true;
-      sched_cv.notify_all();
+      sched_cv.notify_one();
     }
     drain();
     sched_thread.join();
     {
       std::lock_guard<std::mutex> lock(mu);
       workers_stop = true;
-      worker_cv.notify_all();
+      for (auto& w : workers) unpark(*w);  // each idle worker exits
     }
     for (auto& w : workers)
       if (w->th.joinable()) w->th.join();
@@ -660,7 +747,7 @@ bool IngestLane::offer(RtJob job) {
     // notify cannot slip between the scheduler's lane re-check and its
     // wait.  The fast path above stays wait-free.
     std::lock_guard<std::mutex> lock(owner_->mu);
-    owner_->sched_cv.notify_all();
+    owner_->sched_cv.notify_one();
   }
   return true;
 }

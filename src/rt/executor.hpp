@@ -51,8 +51,9 @@ class JobAborted {};
 /// Handle a running body uses to cooperate with the scheduler.
 class JobContext {
  public:
-  /// Preemption/abort point.  Blocks while the job is preempted;
-  /// throws JobAborted once the job's critical time has expired.
+  /// Preemption/abort point.  One atomic load while the job still
+  /// holds its CPU; blocks while the job is preempted; throws
+  /// JobAborted once the job's critical time has expired.
   /// Bodies should call this between work quanta.
   virtual void checkpoint() = 0;
 
@@ -223,6 +224,33 @@ struct ExecutorReport : runtime::RunReport {
 /// every worker is pinned by a preempted job; terminal JobRecs are
 /// recycled through a free list immediately, so a long run's memory is
 /// bounded by its peak backlog, not its job count.
+///
+/// Handoff protocol: every wake-up is targeted.  All job/CPU/gauge
+/// bookkeeping lives under one executor mutex `mu`, but nothing waits
+/// on a shared condition variable that many threads sleep on:
+///  - Each pool worker parks on its own parking word (a futex-style
+///    std::atomic<uint32_t>), marked parked and cleared only under mu.
+///    The scheduling thread wakes exactly one worker per event that
+///    gives it work: a dispatch (first bind or resume after
+///    preemption) and an abort marked on a parked or unstarted job.
+///    shutdown() wakes each idle worker once to exit.  Preemption
+///    wakes nobody: the body sees it at its next checkpoint.
+///  - Each job has one atomic control word with two bits, "on a CPU"
+///    and "aborting", written only under mu when the job is
+///    dispatched, descheduled or marked aborting.  checkpoint(),
+///    aborted() and the pre-body abort check are a single acquire load
+///    of it while the job is still dispatched; mu is taken only to
+///    park (the CPU was given away) or to throw JobAborted.
+///  - The scheduling thread sleeps on its own condition variable with
+///    the `sched_idle` flag set.  A worker's terminal bookkeeping wakes
+///    it only when it is asleep and a live job is waiting for a CPU
+///    (or shutdown waits for the last job); otherwise its abort-
+///    deadline timeout covers it.  Ingest lanes wake it through the
+///    sched_idle Dekker handshake (IngestLane::offer), submit() and the
+///    steering/placement setters directly.
+///  - drain() waits on a condition variable of its own, notified when
+///    the last live job reaches a terminal state or when a lane drain
+///    rejected everything it pulled.
 ///
 /// Ingest paths, fastest first: (1) per-producer wait-free IngestLanes
 /// (open_lane) drained in batches by the scheduling thread — the
